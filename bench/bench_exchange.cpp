@@ -8,13 +8,20 @@
 // per-message bookkeeping and allocator churn dominate (the 16/64-byte
 // cases live on the per-link frame batching path); (3) two-hop shuffle —
 // route_via_random_intermediate, so envelope (re)serialization dominates;
-// (4) barrier latency — empty supersteps at k up to 256, so the tree
-// barrier's rendezvous and wake-up are the whole cost; (5) speedup vs
-// workers — a compute-bound fleet at every pool width, so the series
-// reads directly as the executor's parallel efficiency.  Throughput
+// (4) barrier latency — empty supersteps at k up to 4096, so the tree
+// barrier's rendezvous and wake-up are the whole cost; (5) sparse
+// superstep — one ring message per machine at k up to 8192, timed per
+// superstep with engine set-up differenced out, so the k-series gives
+// the plane's per-superstep scaling exponent (O(k + traffic) reads as
+// ~1, a dense k^2 plane as ~2); (6) speedup vs workers — a compute-bound
+// fleet at every pool width, so the series reads directly as the
+// executor's parallel efficiency.  Throughput
 // counters are bytes of payload handed to the message plane per second,
 // which makes before/after comparisons of the plane itself meaningful.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <chrono>
 
 #include "bench_common.hpp"
 #include "sim/routing.hpp"
@@ -200,9 +207,9 @@ void BM_BarrierLatency(benchmark::State& state) {
   // Empty supersteps: no messages move, so the whole per-step cost is the
   // rendezvous — tree arrival, root finalize, and (now that machines are
   // fibers on a worker pool) the scheduler pass that resumes released
-  // fibers instead of a per-machine futex wake.  The k = 256 case
-  // exercises a 4-level tree multiplexed over the default worker count;
-  // one engine run amortizes the pool spawn over kSteps barriers.
+  // fibers instead of a per-machine futex wake.  k = 4096 is a 6-level
+  // tree multiplexed over the default worker count; one engine run
+  // amortizes the pool spawn over kSteps barriers.
   const auto machines = static_cast<std::size_t>(state.range(0));
   constexpr int kSteps = 16;
   for (auto _ : state) {
@@ -218,8 +225,59 @@ void BM_BarrierLatency(benchmark::State& state) {
       static_cast<double>(state.iterations() * kSteps),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BarrierLatency)->Arg(16)->Arg(64)->Arg(256)
+BENCHMARK(BM_BarrierLatency)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)
+    ->Arg(4096)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
+
+/// Wall time of one engine run of `steps` ring supersteps at k machines.
+double ring_run_seconds(std::size_t machines, int steps) {
+  Engine engine(machines, {.bandwidth_bits = kBandwidth, .seed = 27});
+  const auto start = std::chrono::steady_clock::now();
+  engine.run([&](MachineContext& ctx) {
+    for (int step = 0; step < steps; ++step) {
+      Writer w;
+      w.put_varint(static_cast<std::uint64_t>(step));
+      ctx.send((ctx.id() + 1) % machines, 6, w);
+      const auto in = ctx.exchange();
+      if (in.size() != 1) {
+        throw std::logic_error("bench_exchange: lost ring message");
+      }
+      benchmark::DoNotOptimize(in.data());
+    }
+  });
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+void BM_SparseSuperstep(benchmark::State& state) {
+  // The paper's regime: many machines, little traffic per superstep.
+  // Each machine sends one message to its ring successor, so a superstep
+  // touches k of the k^2 links.  Reported time is per superstep, as
+  // (T(2S) - T(S)) / S: the difference of a 2S-step and an S-step run
+  // cancels engine set-up (fiber stacks, contexts, pool spawn) and
+  // teardown, leaving the steady-state superstep cost whose k-series
+  // the plane's scaling exponent is fitted from.
+  const auto machines = static_cast<std::size_t>(state.range(0));
+  constexpr int kSteps = 64;
+  double total = 0.0;
+  for (auto _ : state) {
+    const double once = ring_run_seconds(machines, kSteps);
+    const double twice = ring_run_seconds(machines, 2 * kSteps);
+    const double per_step = std::max(twice - once, 0.0) / kSteps;
+    state.SetIterationTime(per_step);
+    total += per_step;
+  }
+  // The summary's fitted slope over k is the per-superstep exponent.
+  bench::SeriesTable::instance().add(
+      "exchange/sparse-superstep (ms vs k)", static_cast<double>(machines),
+      1e3 * total / static_cast<double>(state.iterations()));
+}
+// Fixed iterations: the manual (per-superstep) time is a small slice of
+// each iteration's real time, so a min-time rule would run for minutes.
+BENCHMARK(BM_SparseSuperstep)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
+    ->Arg(8192)->Iterations(10)->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SpeedupVsWorkers(benchmark::State& state) {
   // Executor scaling: 64 compute-bound machines multiplexed over

@@ -293,36 +293,59 @@ DistributedMstResult run_sketch_boruvka(const Graph* ug,
           }
           acc.emplace_back(pos, cell);
         };
-        std::vector<std::vector<std::pair<std::uint32_t, SketchCell>>> sliced(
-            k);
+        // One label's nonzero cells as (holder, position, cell), sorted
+        // by holder then position, and the holders it writes to (plus
+        // its proxy, which always gets an entry) — O(cells) per label,
+        // not O(k).
+        struct Slice {
+          std::size_t holder;
+          std::uint32_t pos;
+          SketchCell cell;
+        };
+        std::vector<Slice> sliced;
+        std::vector<std::size_t> dsts;
         for (const std::uint32_t c : detail::sorted_keys(partial)) {
           const L0Sketch& sketch = partial.at(c);
           const std::size_t proxy = proxy_of(c);
           if (proxy == self) {
             hosts[c].push_back(static_cast<std::uint32_t>(self));
           }
-          for (auto& cells : sliced) cells.clear();
+          sliced.clear();
+          dsts.assign(1, proxy);
           for (std::size_t pos = 0; pos < ncells_total; ++pos) {
             const SketchCell cell = sketch.cell(pos / levels, pos % levels);
             if (cell.is_zero()) continue;
-            sliced[holder_of(c, pos)].emplace_back(
-                static_cast<std::uint32_t>(pos), cell);
+            const std::size_t holder = holder_of(c, pos);
+            sliced.push_back({holder, static_cast<std::uint32_t>(pos), cell});
+            dsts.push_back(holder);
           }
-          for (std::size_t dst = 0; dst < k; ++dst) {
+          // Positions were pushed ascending, so a stable sort by holder
+          // keeps each holder's cells in position order.
+          std::stable_sort(sliced.begin(), sliced.end(),
+                           [](const Slice& a, const Slice& b) {
+                             return a.holder < b.holder;
+                           });
+          std::sort(dsts.begin(), dsts.end());
+          dsts.erase(std::unique(dsts.begin(), dsts.end()), dsts.end());
+          auto run = sliced.begin();
+          for (const std::size_t dst : dsts) {
+            const auto run_end = std::find_if(
+                run, sliced.end(),
+                [dst](const Slice& s) { return s.holder != dst; });
             if (dst == self) {
-              for (const auto& [pos, cell] : sliced[dst]) {
-                fold_into(c, pos, cell);
+              for (auto it = run; it != run_end; ++it) {
+                fold_into(c, it->pos, it->cell);
               }
-              continue;
+            } else {
+              Writer& w = outbox[dst];
+              w.put_varint(c);
+              w.put_varint(static_cast<std::uint64_t>(run_end - run));
+              for (auto it = run; it != run_end; ++it) {
+                w.put_varint(it->pos);
+                it->cell.serialize(w);
+              }
             }
-            if (sliced[dst].empty() && dst != proxy) continue;
-            Writer& w = outbox[dst];
-            w.put_varint(c);
-            w.put_varint(sliced[dst].size());
-            for (const auto& [pos, cell] : sliced[dst]) {
-              w.put_varint(pos);
-              cell.serialize(w);
-            }
+            run = run_end;
           }
         }
         partial.clear();

@@ -7,6 +7,7 @@
 #include "sim/executor.hpp"
 #include "sim/trace.hpp"
 #include "util/buffer_pool.hpp"
+#include "util/hash.hpp"
 #include "util/mathx.hpp"
 
 namespace km {
@@ -43,12 +44,7 @@ std::uint64_t EngineConfig::default_bandwidth(std::size_t n) noexcept {
 // ---------------------------------------------------------------------------
 
 MachineContext::MachineContext(Engine* engine, std::size_t id, Rng rng)
-    : engine_(engine), id_(id), rng_(rng) {
-  const std::size_t k = engine_->k();
-  for (auto& links : out_) links.resize(k);
-  out_bits_.assign(k, 0);
-  out_msgs_.assign(k, 0);
-}
+    : engine_(engine), id_(id), rng_(rng) {}
 
 std::size_t MachineContext::k() const noexcept { return engine_->k(); }
 
@@ -56,28 +52,66 @@ const EngineConfig& MachineContext::config() const noexcept {
   return engine_->config();
 }
 
-MachineContext::LinkOut& MachineContext::link_for(std::size_t dst) {
+MachineContext::LinkSlot& MachineContext::LinkPlane::slot_for(
+    std::uint32_t dst) {
+  const std::uint64_t key = std::uint64_t{dst} + 1;
+  const std::size_t mask = index.size() - 1;
+  std::size_t pos = hash_u64(dst) & mask;
+  for (; index[pos] != 0; pos = (pos + 1) & mask) {
+    if ((index[pos] >> 32) == key) return slots[index[pos] & 0xffffffffU];
+  }
+  // First send to dst this superstep: take the next recycled slot (or a
+  // new one) and index it.  Growing keeps the table at most half full, so
+  // probes stay short and always reach an empty entry.
+  if (used == slots.size()) slots.emplace_back();
+  LinkSlot& slot = slots[used];
+  slot.dst = dst;
+  slot.index_pos = static_cast<std::uint32_t>(pos);
+  slot.bits = slot.msgs = 0;
+  index[pos] = key << 32 | used;
+  if (2 * ++used > index.size()) grow_index();
+  return slot;
+}
+
+void MachineContext::LinkPlane::grow_index() {
+  index.assign(index.size() * 2, 0);
+  const std::size_t mask = index.size() - 1;
+  for (std::size_t i = 0; i < used; ++i) {
+    LinkSlot& slot = slots[i];
+    std::size_t pos = hash_u64(slot.dst) & mask;
+    while (index[pos] != 0) pos = (pos + 1) & mask;
+    slot.index_pos = static_cast<std::uint32_t>(pos);
+    index[pos] = (std::uint64_t{slot.dst} + 1) << 32 | i;
+  }
+}
+
+void MachineContext::LinkPlane::recycle() {
+  for (std::size_t i = 0; i < used; ++i) index[slots[i].index_pos] = 0;
+  used = 0;
+}
+
+MachineContext::LinkSlot& MachineContext::link_for(std::size_t dst) {
   if (dst == id_) {
     throw std::logic_error("MachineContext::send: self-addressed message");
   }
   if (dst >= k()) {
     throw std::out_of_range("MachineContext::send: bad destination");
   }
-  return out_[barriers_passed_ & 1][dst];
+  return out_[barriers_passed_ & 1].slot_for(static_cast<std::uint32_t>(dst));
 }
 
-void MachineContext::account_send(std::size_t dst,
+void MachineContext::account_send(LinkSlot& link,
                                   std::uint64_t payload_bytes) {
   // Phase 1 of the exchange protocol: cost the link now — one header plus
   // the payload per message, framed or not (the unbatched formula) — so
   // the barrier folds only counters.  The row aggregates keep the leaf
-  // fold O(1) per machine scalar.
+  // fold O(1) per machine.
   const std::uint64_t bits = Message::kHeaderBits + payload_bytes * 8;
-  out_bits_[dst] += bits;
-  out_msgs_[dst] += 1;
+  link.bits += bits;
+  link.msgs += 1;
   row_bits_ += bits;
   row_msgs_ += 1;
-  row_max_ = std::max(row_max_, out_bits_[dst]);
+  row_max_ = std::max(row_max_, link.bits);
 }
 
 // Framing pays a memcpy to save a refcounted buffer per message; with a
@@ -86,7 +120,7 @@ void MachineContext::account_send(std::size_t dst,
 // starts from the second.  (Delivery order is independent of the split:
 // the messages vector is authoritative.)  The threshold is the
 // EngineConfig knob; 0 turns framing off.
-bool MachineContext::should_frame(const LinkOut& link,
+bool MachineContext::should_frame(const LinkSlot& link,
                                   std::size_t payload_bytes) const {
   const std::size_t threshold = config().framed_payload_max_bytes;
   return threshold > 0 && payload_bytes <= threshold &&
@@ -106,17 +140,16 @@ void MachineContext::send(std::size_t dst, std::uint16_t tag,
 #if KM_TRACING_ENABLED
   const SendTimer timer(trace_);
 #endif
-  LinkOut& link = link_for(dst);
-  account_send(dst, payload.size());
+  LinkSlot& link = link_for(dst);
+  account_send(link, payload.size());
   Message msg = stamp(dst, tag);
   msg.payload = std::move(payload);
   link.messages.push_back(std::move(msg));
 }
 
-void MachineContext::send_framed(LinkOut& link, std::size_t dst,
-                                 std::uint16_t tag,
+void MachineContext::send_framed(LinkSlot& link, std::uint16_t tag,
                                  std::span<const std::byte> payload) {
-  account_send(dst, payload.size());
+  account_send(link, payload.size());
   // The frame is one pooled buffer per (src, dst, superstep); its entries
   // are length-prefixed and appear in the same order as the indices in
   // link.framed, so delivery can walk both in lockstep.
@@ -125,7 +158,7 @@ void MachineContext::send_framed(LinkOut& link, std::size_t dst,
   append_varint(link.frame, payload.size());
   link.frame.insert(link.frame.end(), payload.begin(), payload.end());
   // The payload stays empty until delivery slices the frame.
-  link.messages.push_back(stamp(dst, tag));
+  link.messages.push_back(stamp(link.dst, tag));
 }
 
 void MachineContext::send(std::size_t dst, std::uint16_t tag,
@@ -133,12 +166,12 @@ void MachineContext::send(std::size_t dst, std::uint16_t tag,
 #if KM_TRACING_ENABLED
   const SendTimer timer(trace_);
 #endif
-  LinkOut& link = link_for(dst);
+  LinkSlot& link = link_for(dst);
   if (should_frame(link, payload.size())) {
-    send_framed(link, dst, tag, payload);
+    send_framed(link, tag, payload);
     recycle_buffer(std::move(payload));
   } else {
-    account_send(dst, payload.size());
+    account_send(link, payload.size());
     Message msg = stamp(dst, tag);
     msg.payload = PayloadRef(std::move(payload));
     link.messages.push_back(std::move(msg));
@@ -149,12 +182,12 @@ void MachineContext::send(std::size_t dst, std::uint16_t tag, Writer& writer) {
 #if KM_TRACING_ENABLED
   const SendTimer timer(trace_);
 #endif
-  LinkOut& link = link_for(dst);
+  LinkSlot& link = link_for(dst);
   if (should_frame(link, writer.size_bytes())) {
-    send_framed(link, dst, tag, writer.view());
+    send_framed(link, tag, writer.view());
     writer.clear();  // consumed; capacity stays with the writer
   } else {
-    account_send(dst, writer.size_bytes());
+    account_send(link, writer.size_bytes());
     Message msg = stamp(dst, tag);
     msg.payload = PayloadRef(writer.take());
     link.messages.push_back(std::move(msg));
@@ -239,20 +272,18 @@ bool MachineContext::all_reduce_or(bool value) {
 Engine::Engine(std::size_t k, EngineConfig config)
     : k_(k),
       config_(std::move(config)),
-      network_(k, config_.bandwidth_bits),
       barrier_(k),
       node_accums_(barrier_.node_count()) {
   if (k_ < 1) throw std::invalid_argument("Engine: k must be >= 1");
+  if (config_.bandwidth_bits < 1) {
+    throw std::invalid_argument("Engine: bandwidth must be >= 1 bit");
+  }
   // Resolve the framing threshold once, here, so every consumer of
   // config() (should_frame, tests poking at engine.config()) sees the
   // concrete policy instead of the auto sentinel.
   if (config_.framed_payload_max_bytes == kFramedPayloadAuto) {
     config_.framed_payload_max_bytes =
         framed_payload_default_bytes(config_.bandwidth_bits);
-  }
-  for (NodeAccum& acc : node_accums_) {
-    acc.recv_bits.assign(k_, 0);
-    acc.recv_msgs.assign(k_, 0);
   }
 }
 
@@ -289,11 +320,7 @@ Metrics Engine::run(const Program& program) {
   // An aborted run leaves folded-but-unconsumed accumulators behind;
   // re-arm everything before the first machine thread starts.
   barrier_.reset();
-  for (NodeAccum& acc : node_accums_) {
-    acc.bits = acc.msgs = acc.max_link = 0;
-    std::fill(acc.recv_bits.begin(), acc.recv_bits.end(), 0);
-    std::fill(acc.recv_msgs.begin(), acc.recv_msgs.end(), 0);
-  }
+  for (NodeAccum& acc : node_accums_) acc = NodeAccum{};
   barrier_.fold_phase.release();
   stop_.store(false, std::memory_order_relaxed);
   finished_count_.store(0, std::memory_order_relaxed);
@@ -426,52 +453,27 @@ void Engine::fold_node(std::size_t node, bool leaf, std::size_t child_begin,
                        std::size_t child_end) {
   // Phase 2 of the exchange protocol: runs on the last thread to arrive
   // at `node`, with every child quiescent (their arrivals happen-before
-  // this call).  Only pre-computed integer counters fold here — payloads
-  // never ride the barrier.  Children are zeroed as they are consumed so
-  // the next episode starts clean.
+  // this call).  Only three scalars per child fold here — payloads and
+  // per-link counters stay in the senders' slots.  Children are zeroed as
+  // they are consumed so the next episode starts clean.
   NodeAccum& acc = node_accums_[node];
   if (leaf) {
     for (std::size_t m = child_begin; m < child_end; ++m) {
       MachineContext& from = *contexts_[m];
       if (from.row_msgs_ == 0) continue;
-#if KM_TRACING_ENABLED
-      if (trace_ && trace_->links_enabled()) {
-        // Snapshot the row before the zeroing below destroys it.  Leaf
-        // folders own disjoint machine ranges, so concurrent folders
-        // write disjoint matrix rows — the same exclusivity that lets
-        // them write metrics_.send_bits_per_machine[m] above.
-        trace_->fold_gate.assert_held();
-        trace_->record_link_row(m, from.out_bits_.data());
-      }
-#endif
       acc.bits += from.row_bits_;
       acc.msgs += from.row_msgs_;
       acc.max_link = std::max(acc.max_link, from.row_max_);
       metrics_.send_bits_per_machine[m] += from.row_bits_;
-      for (std::size_t dst = 0; dst < k_; ++dst) {
-        if (from.out_msgs_[dst] == 0) continue;
-        acc.recv_bits[dst] += from.out_bits_[dst];
-        acc.recv_msgs[dst] += from.out_msgs_[dst];
-        from.out_bits_[dst] = 0;
-        from.out_msgs_[dst] = 0;
-      }
       from.row_bits_ = from.row_msgs_ = from.row_max_ = 0;
     }
   } else {
     for (std::size_t c = child_begin; c < child_end; ++c) {
       NodeAccum& child = node_accums_[c];
-      if (child.msgs == 0) continue;
       acc.bits += child.bits;
       acc.msgs += child.msgs;
       acc.max_link = std::max(acc.max_link, child.max_link);
-      for (std::size_t dst = 0; dst < k_; ++dst) {
-        if (child.recv_msgs[dst] == 0) continue;
-        acc.recv_bits[dst] += child.recv_bits[dst];
-        acc.recv_msgs[dst] += child.recv_msgs[dst];
-        child.recv_bits[dst] = 0;
-        child.recv_msgs[dst] = 0;
-      }
-      child.bits = child.msgs = child.max_link = 0;
+      child = NodeAccum{};
     }
   }
 }
@@ -493,18 +495,32 @@ bool Engine::finalize_superstep() {
     stats.max_link_bits = root.max_link;
     if (root.msgs > 0) {
       stats.any = true;
-      stats.rounds = network_.rounds_for(stats.max_link_bits);
-      for (std::size_t dst = 0; dst < k_; ++dst) {
-        if (root.recv_msgs[dst] == 0) continue;
-        metrics_.recv_bits_per_machine[dst] += root.recv_bits[dst];
-        if (contexts_[dst]->finished_) {
-          metrics_.dropped_messages += root.recv_msgs[dst];
+      stats.rounds =
+          rounds_for_link_load(stats.max_link_bits, config_.bandwidth_bits);
+      // Every machine has arrived, so every sender's current-parity slots
+      // are final.  Ascending src here makes every inbound list ascending
+      // by source, which is the delivery order.
+      for (std::size_t src = 0; src < k_; ++src) {
+        const MachineContext& from = *contexts_[src];
+        const MachineContext::LinkPlane& plane =
+            from.out_[from.barriers_passed_ & 1];
+        for (std::size_t i = 0; i < plane.used; ++i) {
+          const MachineContext::LinkSlot& slot = plane.slots[i];
+          MachineContext& to = *contexts_[slot.dst];
+          metrics_.recv_bits_per_machine[slot.dst] += slot.bits;
+          if (to.finished_) metrics_.dropped_messages += slot.msgs;
+          to.inbound_.emplace_back(static_cast<std::uint32_t>(src),
+                                   static_cast<std::uint32_t>(i));
+#if KM_TRACING_ENABLED
+          if (trace_ && trace_->links_enabled()) {
+            trace_->fold_gate.assert_held();
+            trace_->record_link(src, slot.dst, slot.bits);
+          }
+#endif
         }
-        root.recv_bits[dst] = 0;
-        root.recv_msgs[dst] = 0;
       }
     }
-    root.bits = root.msgs = root.max_link = 0;
+    root = NodeAccum{};
     const bool all_finished =
         finished_count_.load(std::memory_order_acquire) == k_;
     // The final barrier episode where every machine has already finished
@@ -551,20 +567,31 @@ bool Engine::finalize_superstep() {
   return stop;
 }
 
-void Engine::drain_inbound(MachineContext& ctx, std::vector<Message>& into) {
-  // Runs on ctx's own thread with no lock held.  Safe: the sources wrote
-  // these LinkOuts before arriving at the barrier we just left (the tree
-  // barrier's release publishes them), and their next sends go to the
-  // opposite parity.
+template <typename Take>
+void Engine::consume_inbound(MachineContext& ctx, Take&& take) {
+  // Runs on ctx's own fiber with no lock held.  Safe: the sources wrote
+  // these slots before arriving at the barrier we just left (the tree
+  // barrier's release publishes them and the finalizer's inbound list),
+  // and their next sends go to the opposite parity.
   const std::size_t parity = ctx.barriers_passed_ & 1;
   ++ctx.barriers_passed_;
+  for (const auto& [src, slot] : ctx.inbound_) {
+    take(contexts_[src]->out_[parity].slots[slot]);
+  }
+  ctx.inbound_.clear();
+  // This machine's own slots of the parity it sends into next were
+  // drained before every receiver arrived at the barrier just passed.
+  ctx.out_[ctx.barriers_passed_ & 1].recycle();
+}
+
+void Engine::drain_inbound(MachineContext& ctx, std::vector<Message>& into) {
   std::size_t total = into.size();
-  for (std::size_t src = 0; src < k_; ++src) {
-    total += contexts_[src]->out_[parity][ctx.id_].messages.size();
+  const std::size_t parity = ctx.barriers_passed_ & 1;
+  for (const auto& [src, slot] : ctx.inbound_) {
+    total += contexts_[src]->out_[parity].slots[slot].messages.size();
   }
   into.reserve(total);
-  for (std::size_t src = 0; src < k_; ++src) {
-    auto& link = contexts_[src]->out_[parity][ctx.id_];
+  consume_inbound(ctx, [&into](MachineContext::LinkSlot& link) {
     if (!link.framed.empty()) {
       // Re-materialize framed payloads: the whole frame becomes one
       // refcounted buffer and each framed message gets a zero-copy slice
@@ -582,19 +609,16 @@ void Engine::drain_inbound(MachineContext& ctx, std::vector<Message>& into) {
     }
     into.insert(into.end(), std::make_move_iterator(link.messages.begin()),
                 std::make_move_iterator(link.messages.end()));
-    link.messages.clear();  // keeps capacity: slot pool across supersteps
-  }
+    link.messages.clear();  // keeps capacity for the slot's next link
+  });
 }
 
 void Engine::discard_inbound(MachineContext& ctx) {
-  const std::size_t parity = ctx.barriers_passed_ & 1;
-  ++ctx.barriers_passed_;
-  for (std::size_t src = 0; src < k_; ++src) {
-    auto& link = contexts_[src]->out_[parity][ctx.id_];
+  consume_inbound(ctx, [](MachineContext::LinkSlot& link) {
     link.messages.clear();
     link.framed.clear();
-    link.frame.clear();  // keeps capacity for the link's next superstep
-  }
+    link.frame.clear();  // keeps capacity for the slot's next link
+  });
 }
 
 std::string Metrics::summary() const {

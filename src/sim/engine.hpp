@@ -19,54 +19,54 @@
 // order, and every serialized artifact are identical at every worker
 // count (the Determinism suite sweeps workers to prove it).
 //
-// Message plane (three-phase exchange protocol):
-//  - Phase 1 (pre-bucket, outside any lock): send() buckets each message
-//    into a per-destination LinkOut owned by the sending machine and
-//    accumulates that link's bit/message counters on the fly, so by the
+// Message plane (three-phase exchange protocol).  Every structure is
+// sparse: state and per-superstep work grow with k plus the links a
+// superstep actually touches, never with k^2, so an empty superstep at
+// k = 4096 costs a barrier and nothing else.
+//  - Phase 1 (pre-bucket, outside any lock): send() finds the sender's
+//    *link slot* for the destination — allocated on the first send to
+//    that destination in the superstep, found again through a small
+//    open-addressing table keyed by dst (no length-k array) — appends
+//    the message and charges the link's bit/message counters, so by the
 //    time a machine arrives at the barrier its outbound traffic is fully
-//    bucketed and costed.  Small payloads (<=
+//    bucketed and costed.  Slots are double-buffered by barrier parity
+//    and recycled (capacity kept) when the sender starts its next
+//    same-parity superstep.  Small payloads (<=
 //    EngineConfig::framed_payload_max_bytes, by default derived from B
 //    via framed_payload_default_bytes() in sim/message.hpp; 0 disables
-//    framing)
-//    produced by the Writer/vector overloads are
-//    *framed* from the link's second message of the superstep onward:
-//    their bytes are appended to one length-prefixed frame buffer per
-//    (src, dst, superstep) — layout per entry:
-//    varint(payload_len) | payload bytes — instead of each becoming a
-//    refcounted heap buffer of its own.  (A link's first message has
-//    nothing to amortize the copy against and takes the zero-copy
-//    path.)  One pooled frame buffer
-//    amortizes the per-message fixed cost (PayloadBuf object + refcount
-//    traffic + allocator round trip) across every small message on the
-//    link, which is what dominates tiny-payload workloads.  Accounting is
-//    deliberately *unbatched*: every message is still charged
-//    Message::kHeaderBits + 8 * payload_bytes against its link, framed or
-//    not, so rounds/bits/max_link_bits are byte-identical to an
-//    unbatched plane (tests/test_exchange_determinism.cpp enforces
-//    this).  broadcast() and the PayloadRef overload are never framed:
-//    they share one immutable PayloadRef across receivers (zero-copy),
-//    which is already cheaper than copying into k-1 frames.
-//  - Phase 2 (merge, folding up the barrier tree): the superstep
-//    rendezvous is a sense-reversing arity-4 combining-tree barrier
-//    (sim/barrier.hpp).  The last arriver at each tree node folds its
-//    children's per-link counters into the node's accumulator — machines'
-//    out_bits_/out_msgs_ rows at the leaves, child accumulators at
-//    internal nodes — so the merge that used to be O(k^2) on the last
-//    thread is now O(arity * k) per folder, pipelined up the tree.  The
-//    root's last arriver finalizes the superstep: rounds =
-//    ceil(max link bits / B), per-machine recv bits, dropped-message
-//    bookkeeping, timeline, stop/budget checks.  Payloads never pass
-//    through the barrier; only integers fold.
-//  - Phase 3 (delivery, lock-free): after release each machine drains the
-//    LinkOuts addressed to it from all k sources in ascending source
-//    order, in parallel with every other machine, without any lock.  A
-//    link's frame buffer is wrapped in one PayloadRef and every framed
-//    message becomes a zero-copy slice of it, interleaved with unframed
-//    messages in original send order.  LinkOuts are double-buffered by
-//    barrier parity so the drain of superstep s never races the sends of
-//    superstep s+1; the tree barrier's acq_rel arrival chain and
-//    release-on-sense-flip provide the happens-before edges (tsan
-//    verified by the CI tsan job).
+//    framing) produced by the Writer/vector overloads are *framed* from
+//    the link's second message of the superstep onward: their bytes are
+//    appended to one length-prefixed frame buffer per (src, dst,
+//    superstep) — varint(payload_len) | payload bytes per entry —
+//    instead of each becoming a refcounted heap buffer of its own.  (A
+//    link's first message has nothing to amortize the copy against and
+//    takes the zero-copy path.)  Accounting is deliberately *unbatched*:
+//    every message is still charged Message::kHeaderBits + 8 *
+//    payload_bytes against its link, framed or not, so
+//    rounds/bits/max_link_bits are byte-identical to an unbatched plane
+//    (tests/test_exchange_determinism.cpp enforces this).  broadcast()
+//    and the PayloadRef overload are never framed: they share one
+//    immutable PayloadRef across receivers (zero-copy).
+//  - Phase 2 (fold, up the barrier tree): the superstep rendezvous is a
+//    sense-reversing arity-4 combining-tree barrier (sim/barrier.hpp).
+//    The last arriver at each tree node folds three scalars per child —
+//    bits, messages, and the heaviest link — from machines at the leaves
+//    and child accumulators above.  The root's last arriver finalizes
+//    the superstep: rounds = ceil(max link bits / B), then one walk over
+//    the senders in ascending src order, over their touched slots only
+//    (O(k + touched links)), charges recv_bits_per_machine and dropped
+//    messages and appends (src, slot) to each receiver's inbound list;
+//    then timeline, stop and budget checks.  Payloads never pass through
+//    the barrier.
+//  - Phase 3 (delivery, lock-free): after release each machine drains
+//    the slots on its inbound list — ascending source by construction —
+//    in parallel with every other machine, without any lock.  A slot's
+//    frame buffer is wrapped in one PayloadRef and every framed message
+//    becomes a zero-copy slice of it, interleaved with unframed messages
+//    in original send order.  Parity double-buffering means the drain of
+//    superstep s never races the sends of superstep s+1; the tree
+//    barrier's acq_rel arrival chain and release-on-sense-flip provide
+//    the happens-before edges (tsan verified by the CI tsan job).
 //
 // Conventions:
 //  - All machines must call exchange() in lockstep (same count, same
@@ -88,6 +88,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "sim/barrier.hpp"
@@ -135,10 +136,11 @@ struct EngineConfig {
   /// value, to prove it).
   std::size_t framed_payload_max_bytes = kFramedPayloadAuto;
   /// OS threads the executor multiplexes the k machine fibers over; 0
-  /// means hardware concurrency, and the effective count is clamped to
-  /// [1, k].  Pure execution policy: results are byte-identical at every
-  /// setting (like `trace`, it is deliberately absent from serialized
-  /// run parameters).
+  /// means hardware concurrency.  The executor spawns at most that many,
+  /// and only as many as own a non-empty block of ceil(k / W) machines
+  /// (sim/executor.hpp).  Pure execution policy: results are
+  /// byte-identical at every setting (like `trace`, it is deliberately
+  /// absent from serialized run parameters).
   std::size_t workers = 0;
   /// Stack reservation per machine fiber (rounded up to whole pages, one
   /// guard page added); 0 means kDefaultFiberStackBytes.  Address space,
@@ -189,53 +191,80 @@ class MachineContext {
   friend class Engine;
   MachineContext(Engine* engine, std::size_t id, Rng rng);
 
-  /// One link's pre-bucketed outbound traffic for one superstep parity.
-  /// `messages` holds every message in send order; a framed message sits
-  /// there with an empty payload until delivery, when its bytes are
-  /// sliced back out of `frame`.  `framed` lists the indices of framed
-  /// entries (ascending), and `frame` is the shared length-prefixed
-  /// buffer (varint(len) | bytes per entry, same order as `framed`).
-  struct LinkOut {
+  /// One touched link's outbound traffic for one superstep parity:
+  /// destination, the link's unbatched bit/message totals, and the
+  /// messages.  `messages` holds every message in send order; a framed
+  /// message sits there with an empty payload until delivery, when its
+  /// bytes are sliced back out of `frame`.  `framed` lists the indices of
+  /// framed entries (ascending), and `frame` is the shared
+  /// length-prefixed buffer (varint(len) | bytes per entry, same order as
+  /// `framed`).
+  struct LinkSlot {
+    std::uint32_t dst = 0;
+    std::uint32_t index_pos = 0;  ///< this slot's entry in LinkPlane::index
+    std::uint64_t bits = 0;
+    std::uint64_t msgs = 0;
     std::vector<Message> messages;
     std::vector<std::uint32_t> framed;
     std::vector<std::byte> frame;
   };
 
-  /// Validates dst and returns its current-parity LinkOut.
-  LinkOut& link_for(std::size_t dst);
+  /// One parity's link slots.  slots[0, used) are the links touched this
+  /// superstep, in first-send order; slots past `used` are recycled ones
+  /// that keep their buffers' capacity.  `index` is an open-addressing
+  /// table (linear probing, power-of-two size, load <= 1/2) mapping a
+  /// destination to its slot: entry = (dst + 1) << 32 | slot, 0 = empty.
+  struct LinkPlane {
+    std::vector<LinkSlot> slots;
+    std::size_t used = 0;
+    std::vector<std::uint64_t> index = std::vector<std::uint64_t>(16, 0);
+
+    /// The slot for `dst`, allocated on the first call this superstep.
+    LinkSlot& slot_for(std::uint32_t dst);
+    /// Forgets this superstep's slots (their receivers have drained
+    /// them); O(used).
+    void recycle();
+
+   private:
+    void grow_index();
+  };
+
+  /// Validates dst and returns its current-parity link slot.
+  LinkSlot& link_for(std::size_t dst);
   /// A Message with src/dst/tag filled in, payload empty.
   Message stamp(std::size_t dst, std::uint16_t tag) const;
   /// Charges the link (unbatched formula) and updates the sender's row
   /// aggregates.  Every send path funnels through here.
-  void account_send(std::size_t dst, std::uint64_t payload_bytes);
+  void account_send(LinkSlot& link, std::uint64_t payload_bytes);
   /// Transport policy: payloads up to config().framed_payload_max_bytes
   /// are framed from the link's second message onward (one message has
   /// nothing to amortize the copy against).  Never affects accounting or
   /// delivery order.
-  bool should_frame(const LinkOut& link, std::size_t payload_bytes) const;
+  bool should_frame(const LinkSlot& link, std::size_t payload_bytes) const;
   /// Appends a small payload to the link's frame (acquiring a pooled
   /// buffer on first use) and records the framed entry.
-  void send_framed(LinkOut& link, std::size_t dst, std::uint16_t tag,
+  void send_framed(LinkSlot& link, std::uint16_t tag,
                    std::span<const std::byte> payload);
 
   Engine* engine_;
   std::size_t id_;
   Rng rng_;
 
-  // Pre-bucketed outbound traffic (phase 1 of the exchange protocol).
-  // Double-buffered by barrier parity: sends of superstep s fill parity
-  // s&1 while receivers drain parity (s-1)&1 from the previous barrier.
-  // Vectors keep their capacity across supersteps (slot pooling).
-  std::array<std::vector<LinkOut>, 2> out_;
-  std::vector<std::uint64_t> out_bits_;   ///< per-destination bit totals
-  std::vector<std::uint64_t> out_msgs_;   ///< per-destination msg counts
-  // Row aggregates over out_bits_/out_msgs_, maintained incrementally by
-  // account_send() so the barrier's leaf fold reads three scalars instead
-  // of re-scanning the row.
-  std::uint64_t row_bits_ = 0;   ///< sum over dst of out_bits_[dst]
-  std::uint64_t row_msgs_ = 0;   ///< sum over dst of out_msgs_[dst]
-  std::uint64_t row_max_ = 0;    ///< max over dst of out_bits_[dst]
+  // Outbound link slots (phase 1 of the exchange protocol), double-
+  // buffered by barrier parity: sends of superstep s fill parity s&1
+  // while receivers drain parity (s-1)&1 from the previous barrier.
+  std::array<LinkPlane, 2> out_;
+  // Row aggregates over the current parity's slots, maintained by
+  // account_send() so the barrier's leaf fold reads three scalars.
+  std::uint64_t row_bits_ = 0;   ///< sum of the slots' bits
+  std::uint64_t row_msgs_ = 0;   ///< sum of the slots' msgs
+  std::uint64_t row_max_ = 0;    ///< max of the slots' bits
   std::uint64_t barriers_passed_ = 0;     ///< drives the bucket parity
+
+  /// (src, slot) of every link that wrote to this machine in the last
+  /// superstep, ascending src: built by the root finalizer, consumed by
+  /// drain_inbound/discard_inbound after the release.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> inbound_;
 
   std::vector<Message> stashed_;  // non-collective msgs seen by collectives
   bool finished_ = false;
@@ -271,16 +300,13 @@ class Engine {
  private:
   friend class MachineContext;
 
-  /// Per-barrier-node fold state: the subtree's traffic totals plus the
-  /// per-destination column sums that become recv_bits_per_machine and
-  /// the dropped-message count.  Folders zero a child's accumulator
-  /// right after consuming it, so every episode starts from zeros.
+  /// Per-barrier-node fold state: the subtree's traffic totals and its
+  /// heaviest link.  Folders zero a child's accumulator right after
+  /// consuming it, so every episode starts from zeros.
   struct NodeAccum {
     std::uint64_t bits = 0;
     std::uint64_t msgs = 0;
     std::uint64_t max_link = 0;
-    std::vector<std::uint64_t> recv_bits;  ///< length k
-    std::vector<std::uint64_t> recv_msgs;  ///< length k
   };
 
   /// Arrives machine `who` at the tree barrier and, if the episode is
@@ -307,7 +333,9 @@ class Engine {
   void fold_node(std::size_t node, bool leaf, std::size_t child_begin,
                  std::size_t child_end) KM_REQUIRES(barrier_.fold_phase);
   /// Runs once per superstep on the root's last arriver: converts the
-  /// root accumulator into round/bit metrics and the stop decision.
+  /// root accumulator into round/bit metrics and the stop decision, and
+  /// walks the touched slots to charge receivers and build their inbound
+  /// lists.
   /// Never throws — failures (fault injection) become first_error_ + stop.
   bool finalize_superstep() KM_REQUIRES(barrier_.fold_phase);
   /// Records `error` as the run's first error if none is set yet.
@@ -316,17 +344,21 @@ class Engine {
       KM_REQUIRES(mutex_);
 
   /// Lock-free delivery (phase 3): moves every message addressed to `ctx`
-  /// from the sources' parity LinkOuts into `into`, ascending source
+  /// from the slots on its inbound list into `into`, ascending source
   /// order, re-materializing framed payloads as zero-copy slices of each
-  /// link's frame buffer.  Advances the context's bucket parity.
+  /// link's frame buffer.  Advances the context's bucket parity and
+  /// recycles its own slots of the parity it sends into next.
   void drain_inbound(MachineContext& ctx, std::vector<Message>& into);
-  /// Same bucket walk for a finished machine: discards instead of
-  /// delivering (the merge step already counted these as dropped).
+  /// Same inbound walk for a finished machine: discards instead of
+  /// delivering (the finalizer already counted these as dropped).
   void discard_inbound(MachineContext& ctx);
+  /// The inbound walk both of the above share: hands every inbound slot
+  /// to `take`, then advances parity and recycles.
+  template <typename Take>
+  void consume_inbound(MachineContext& ctx, Take&& take);
 
   std::size_t k_;
   EngineConfig config_;
-  Network network_;
 
   std::vector<std::unique_ptr<MachineContext>> contexts_;
 

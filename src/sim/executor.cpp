@@ -32,8 +32,12 @@ Executor::Executor(std::size_t machines, std::size_t workers,
   if (fiber_stack_bytes == 0) fiber_stack_bytes = kDefaultFiberStackBytes;
   if (workers == 0) workers = default_worker_count();
   if (machines == 0) machines = 1;
-  workers_ = workers < machines ? workers : machines;
-  block_ = (machines + workers_ - 1) / workers_;
+  // Blocks are ceil(k/W) machines wide; spawning W workers would leave
+  // the tail ones past the end whenever (W-1) * ceil(k/W) >= k (k=5, W=4).
+  // ceil(k / block) workers cover every machine with no empty block.
+  const std::size_t wanted = workers < machines ? workers : machines;
+  block_ = (machines + wanted - 1) / wanted;
+  workers_ = (machines + block_ - 1) / block_;
   machines_.reserve(machines);
   for (std::size_t i = 0; i < machines; ++i) {
     machines_.emplace_back(fiber_stack_bytes);

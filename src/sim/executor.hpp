@@ -65,8 +65,10 @@ class Executor {
   /// rethrown from run() (first one wins).
   using MachineMain = std::function<void(std::size_t machine)>;
 
-  /// `workers == 0` means hardware concurrency; the effective count is
-  /// clamped to [1, machines] and reported by worker_count().
+  /// `workers == 0` means hardware concurrency.  The effective count,
+  /// reported by worker_count(), is ceil(k / ceil(k / min(W, k))): the
+  /// fewest workers that cover the k machines in blocks of ceil(k / W),
+  /// so every worker owns at least one machine.
   Executor(std::size_t machines, std::size_t workers,
            std::size_t fiber_stack_bytes, IdleHooks idle);
 

@@ -9,16 +9,17 @@
 //    per-destination inboxes (deterministic order: ascending source, then
 //    send order) and returns the round charge.  Used by tests and by
 //    callers that hold materialized outboxes.
-//  - rounds_for() is the bare round formula.  The engine's three-phase
-//    exchange pre-buckets messages on the machine threads and folds only
-//    per-link counters up the tree barrier, so payloads never funnel
-//    through the network object; it charges rounds via rounds_for() on
-//    the root-merged max-link load.  The charge per message is
+//  - rounds_for_link_load() is the bare round formula.  The engine's
+//    three-phase exchange pre-buckets messages on the machine fibers and
+//    folds only counters up the tree barrier, so it holds no Network
+//    (whose deliver() scratch is k x k); it charges rounds through this
+//    formula on the root-merged max-link load.  The charge per message is
 //    Message::kHeaderBits + 8 * payload_bytes whether or not the
 //    transport physically batched it into a per-link frame, so both
 //    entry points stay byte-identical to deliver()'s accounting.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -36,6 +37,15 @@ struct DeliveryStats {
   bool any = false;
 };
 
+/// Round charge for a superstep whose most loaded link carried
+/// `max_link_bits` at B = `bandwidth_bits`: ceil(max_link_bits / B), at
+/// least 1.  Only meaningful when traffic moved; an empty superstep
+/// costs 0 rounds (do not call this).
+inline std::uint64_t rounds_for_link_load(
+    std::uint64_t max_link_bits, std::uint64_t bandwidth_bits) noexcept {
+  return std::max<std::uint64_t>(1, ceil_div(max_link_bits, bandwidth_bits));
+}
+
 class Network {
  public:
   /// bandwidth_bits is B; must be >= 1.
@@ -49,7 +59,7 @@ class Network {
   /// traffic moved.  Callers pass max_link_bits > 0 only when there was
   /// traffic; for an empty superstep charge 0 rounds (do not call this).
   std::uint64_t rounds_for(std::uint64_t max_link_bits) const noexcept {
-    return std::max<std::uint64_t>(1, ceil_div(max_link_bits, bandwidth_));
+    return rounds_for_link_load(max_link_bits, bandwidth_);
   }
 
   /// Moves all messages from outboxes (indexed by source) into inboxes

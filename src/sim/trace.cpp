@@ -107,12 +107,11 @@ std::uint64_t TraceSession::now_ns() const noexcept {
   return steady_now_ns() - epoch_ns_;
 }
 
-void TraceSession::record_link_row(std::size_t src,
-                                   const std::uint64_t* row_bits) {
+void TraceSession::record_link(std::size_t src, std::size_t dst,
+                               std::uint64_t bits) {
   fold_gate.assert_held();
   if (!links_) return;
-  std::uint64_t* row = current_links_.data() + src * k_;
-  for (std::size_t dst = 0; dst < k_; ++dst) row[dst] = row_bits[dst];
+  current_links_[src * k_ + dst] = bits;
 }
 
 void TraceSession::finalize_superstep(std::uint64_t superstep,

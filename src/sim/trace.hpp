@@ -18,9 +18,8 @@
 //  - The root finalizer emits one TraceCounterSample per superstep
 //    (rounds, messages, bits, max_link_bits, buffer/payload-pool deltas),
 //    recorded under the barrier's fold-phase exclusivity.
-//  - Opt-in (`record_links`): the leaf folders snapshot each machine's
-//    per-destination bit row before zeroing it, folding a full k x k
-//    link-bits matrix per superstep — the data behind load-imbalance
+//  - Opt-in (`record_links`): the root finalizer copies each touched
+//    link's bit total into a full k x k link-bits matrix per superstep — the data behind load-imbalance
 //    heatmaps and the balanced-proxy-assignment hypothesis (ROADMAP
 //    item 5).
 //
@@ -181,11 +180,11 @@ class TraceSession {
   /// see Engine::fold_node).
   PhantomCapability fold_gate;
 
-  /// Leaf-fold hook: copies machine `src`'s per-destination bit row (k
-  /// entries) into the current superstep's matrix before the fold zeroes
-  /// it.  Concurrent leaf folders write disjoint rows.
-  void record_link_row(std::size_t src,
-                       const std::uint64_t* row_bits) KM_REQUIRES(fold_gate);
+  /// Root-finalizer hook: records that link (src, dst) carried `bits`
+  /// this superstep, once per touched link, before finalize_superstep
+  /// commits the matrix.
+  void record_link(std::size_t src, std::size_t dst,
+                   std::uint64_t bits) KM_REQUIRES(fold_gate);
 
   /// Root-finalizer hook, once per counted superstep: records the counter
   /// sample and, when links are enabled and the superstep carried
@@ -231,7 +230,7 @@ class TraceSession {
 
   std::vector<TraceCounterSample> counters_ KM_GUARDED_BY(fold_gate);
   std::vector<LinkLoadMatrix> matrices_ KM_GUARDED_BY(fold_gate);
-  /// Scratch matrix the leaf folders fill row by row; committed (and
+  /// Scratch matrix the root finalizer fills link by link; committed (and
   /// re-zeroed) by finalize_superstep when the superstep had traffic.
   std::vector<std::uint64_t> current_links_ KM_GUARDED_BY(fold_gate);
   /// Pool baselines for the per-superstep deltas.

@@ -90,6 +90,15 @@ std::uint64_t Options::get_uint(const std::string& name,
   return parsed;
 }
 
+std::uint64_t Options::get_uint_or(const std::string& name,
+                                   const std::string& keyword,
+                                   std::uint64_t keyword_value,
+                                   std::uint64_t fallback) const {
+  const std::string* value = find_required_value(name, "unsigned integer");
+  if (value && *value == keyword) return keyword_value;
+  return get_uint(name, fallback);
+}
+
 double Options::get_double(const std::string& name, double fallback) const {
   const std::string* value = find_required_value(name, "number");
   if (!value) return fallback;

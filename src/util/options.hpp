@@ -39,6 +39,11 @@ class Options {
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   std::uint64_t get_uint(const std::string& name,
                          std::uint64_t fallback) const;
+  /// get_uint that also accepts the literal `keyword` (e.g. "auto"),
+  /// returned as `keyword_value`.
+  std::uint64_t get_uint_or(const std::string& name, const std::string& keyword,
+                            std::uint64_t keyword_value,
+                            std::uint64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

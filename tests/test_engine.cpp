@@ -7,6 +7,10 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <utility>
+#include <vector>
+
+#include "util/hash.hpp"
 
 namespace km {
 namespace {
@@ -351,6 +355,84 @@ TEST(Engine, ManyMachinesStress) {
   EXPECT_EQ(total.load(), kMachines * (kMachines - 1));
   EXPECT_EQ(metrics.messages, kMachines * (kMachines - 1));
   EXPECT_EQ(metrics.rounds, 1u);
+}
+
+/// What machine `src` sends in superstep `step` of the scattered-traffic
+/// test, as (dst, seq) in send order: up to 60 distinct destinations
+/// (past the link-slot index's initial 16 entries), each revisited three
+/// times so links interleave.
+std::vector<std::pair<std::size_t, std::uint64_t>> scattered_plan(
+    std::size_t k, std::size_t src, std::uint64_t step) {
+  std::vector<std::pair<std::size_t, std::uint64_t>> plan;
+  const std::uint64_t fanout = 1 + hash_u64(src * 131 + step) % 60;
+  for (std::uint64_t seq = 0; seq < 3 * fanout; ++seq) {
+    const std::size_t dst =
+        hash_u64(hash_combine(src * 1000 + step, seq % fanout)) % k;
+    if (dst != src) plan.emplace_back(dst, seq);
+  }
+  return plan;
+}
+
+TEST(Engine, ScatteredTrafficDeliversBySourceThenSendOrder) {
+  // Sparse, irregular traffic through every send path: framed small
+  // payloads, unframed large ones, and shared PayloadRefs.  Each receiver
+  // re-derives every sender's plan and expects exactly its messages,
+  // ascending source then send order, with their bytes intact — across
+  // supersteps, so slots recycled by parity are exercised too.
+  constexpr std::size_t kMachines = 97;
+  constexpr std::uint64_t kSteps = 6;
+  const auto payload_for = [](std::uint64_t seq) {
+    Writer w;
+    w.put_varint(seq);
+    const std::size_t pad = seq % 4 == 0 ? 700 : 8;  // 700 > frame limit
+    for (std::size_t i = 0; i < pad; ++i) {
+      w.put_u8(static_cast<std::uint8_t>(seq + i));
+    }
+    return w;
+  };
+  std::atomic<std::uint64_t> mismatches{0};
+  Engine engine(kMachines, {.bandwidth_bits = 4096, .seed = 3});
+  const auto metrics = engine.run([&](MachineContext& ctx) {
+    for (std::uint64_t step = 0; step < kSteps; ++step) {
+      for (const auto& [dst, seq] : scattered_plan(kMachines, ctx.id(), step)) {
+        Writer w = payload_for(seq);
+        if (seq % 5 == 0) {
+          ctx.send(dst, 7, PayloadRef(w.take()));
+        } else {
+          ctx.send(dst, 7, w);
+        }
+      }
+      const auto in = ctx.exchange();
+      std::vector<std::pair<std::size_t, std::uint64_t>> want;
+      for (std::size_t src = 0; src < kMachines; ++src) {
+        for (const auto& [dst, seq] : scattered_plan(kMachines, src, step)) {
+          if (dst == ctx.id()) want.emplace_back(src, seq);
+        }
+      }
+      bool same = in.size() == want.size();
+      for (std::size_t i = 0; same && i < in.size(); ++i) {
+        Reader r(in[i].payload);
+        const std::uint64_t seq = r.get_varint();
+        const Writer expected = payload_for(seq);
+        same = in[i].src == want[i].first && seq == want[i].second &&
+               std::ranges::equal(in[i].payload.view(), expected.view());
+      }
+      if (!same) ++mismatches;
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0u);
+  std::uint64_t messages = 0;
+  for (std::size_t src = 0; src < kMachines; ++src) {
+    for (std::uint64_t step = 0; step < kSteps; ++step) {
+      messages += scattered_plan(kMachines, src, step).size();
+    }
+  }
+  EXPECT_EQ(metrics.messages, messages);
+  EXPECT_EQ(metrics.supersteps, kSteps);
+  EXPECT_EQ(std::accumulate(metrics.recv_bits_per_machine.begin(),
+                            metrics.recv_bits_per_machine.end(),
+                            std::uint64_t{0}),
+            metrics.bits);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 // races here would poison every result above.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -174,6 +175,47 @@ TEST(ExecutorPool, EveryMachineRunsExactlyOnceAtAnyWorkerCount) {
     ex.run([&](std::size_t m) { runs[m].fetch_add(1); });
     for (std::size_t m = 0; m < kMachines; ++m) {
       EXPECT_EQ(runs[m].load(), 1) << "machine " << m << " at W=" << workers;
+    }
+  }
+}
+
+TEST(ExecutorPool, EveryBlockNonEmptyAndEveryMachineOnceOverSmallGrid) {
+  // Exhaustive over every (k, W) with k <= 40 and W <= 16, including the
+  // pairs where W workers at ceil(k/W) machines each would overrun k
+  // (k=5, W=4; k=9, W=8): the pool must shrink to the blocks that exist.
+  for (std::size_t k = 1; k <= 40; ++k) {
+    for (std::size_t w = 1; w <= 16; ++w) {
+      Executor ex(k, w, 0, IdleHooks{});
+      const std::size_t workers = ex.worker_count();
+      ASSERT_GE(workers, 1u);
+      ASSERT_LE(workers, std::min(k, w)) << "k=" << k << " W=" << w;
+      std::vector<std::size_t> owned(workers, 0);
+      for (std::size_t m = 0; m < k; ++m) {
+        ASSERT_LT(ex.worker_of(m), workers) << "k=" << k << " W=" << w;
+        ++owned[ex.worker_of(m)];
+      }
+      for (std::size_t i = 0; i < workers; ++i) {
+        EXPECT_GT(owned[i], 0u) << "empty block " << i << " at k=" << k
+                                << " W=" << w;
+      }
+      std::vector<std::atomic<int>> runs(k);
+      std::vector<std::thread::id> ran_on(k);
+      ex.run([&](std::size_t m) {
+        runs[m].fetch_add(1);
+        ran_on[m] = std::this_thread::get_id();
+      });
+      for (std::size_t m = 0; m < k; ++m) {
+        EXPECT_EQ(runs[m].load(), 1)
+            << "machine " << m << " at k=" << k << " W=" << w;
+        // Static blocks: a block's machines all run on its one worker.
+        // (The converse is not checkable: a finished worker's thread id
+        // may be reused by a later one.)
+        if (m > 0 && ex.worker_of(m - 1) == ex.worker_of(m)) {
+          EXPECT_EQ(ran_on[m - 1], ran_on[m])
+              << "machines " << m - 1 << "," << m << " at k=" << k
+              << " W=" << w;
+        }
+      }
     }
   }
 }

@@ -52,6 +52,15 @@ TEST(Options, FallbacksWhenAbsent) {
   EXPECT_FALSE(o.has("missing"));
 }
 
+TEST(Options, UintOrKeyword) {
+  const auto o = parse({"--a=auto", "--b=12", "--c=autox", "--d"});
+  EXPECT_EQ(o.get_uint_or("a", "auto", 99, 7), 99u);
+  EXPECT_EQ(o.get_uint_or("b", "auto", 99, 7), 12u);
+  EXPECT_EQ(o.get_uint_or("missing", "auto", 99, 7), 7u);
+  EXPECT_THROW(o.get_uint_or("c", "auto", 99, 7), OptionsError);
+  EXPECT_THROW(o.get_uint_or("d", "auto", 99, 7), OptionsError);
+}
+
 TEST(Options, PositionalArguments) {
   const auto o = parse({"input.txt", "--n=3", "output.txt"});
   ASSERT_EQ(o.positional().size(), 2u);

@@ -64,9 +64,9 @@ int usage(const char* error) {
                "               [--out-dir sweep-results] [--timeline true]\n"
                "               [--check true]\n\n"
                "--frame-bytes sets the message-plane framing threshold\n"
-               "(transport batching only; 0 disables, default derives from\n"
-               "B as one round's bytes clamped to [64, 4096]; metrics\n"
-               "identical at every setting).\n"
+               "(transport batching only; 0 disables, auto -- the default --\n"
+               "derives it from B as one round's bytes clamped to\n"
+               "[64, 4096]; metrics identical at every setting).\n"
                "--workers bounds the executor's OS-thread pool (0 = hardware\n"
                "concurrency); k machines multiplex over it as fibers, so k\n"
                "can far exceed the core count. Metrics identical.\n"
@@ -132,8 +132,8 @@ RunParams params_from(const Options& opts, std::uint64_t k, std::uint64_t B) {
   params.k = static_cast<std::size_t>(k);
   params.bandwidth_bits = B;
   params.seed = opts.get_uint("seed", 1);
-  params.frame_bytes = static_cast<std::size_t>(
-      opts.get_uint("frame-bytes", kFramedPayloadAuto));
+  params.frame_bytes = static_cast<std::size_t>(opts.get_uint_or(
+      "frame-bytes", "auto", kFramedPayloadAuto, kFramedPayloadAuto));
   params.record_timeline = opts.get_bool("timeline", true);
   params.check = opts.get_bool("check", true);
   params.workers = static_cast<std::size_t>(opts.get_uint("workers", 0));

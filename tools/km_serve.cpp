@@ -157,9 +157,10 @@ int cmd_request(const Options& opts) {
   w.field("k", opts.get_uint("k", 8));
   w.field("bandwidth", opts.get_uint("B", 0));
   w.field("seed", opts.get_uint("seed", 1));
-  const std::uint64_t frame = opts.get_uint(
-      "frame-bytes", static_cast<std::uint64_t>(kFramedPayloadAuto));
-  if (frame == static_cast<std::uint64_t>(kFramedPayloadAuto)) {
+  const auto auto_frame = static_cast<std::uint64_t>(kFramedPayloadAuto);
+  const std::uint64_t frame =
+      opts.get_uint_or("frame-bytes", "auto", auto_frame, auto_frame);
+  if (frame == auto_frame) {
     w.field("frame", "auto");
   } else {
     w.field("frame", frame);
