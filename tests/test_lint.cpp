@@ -54,6 +54,11 @@ struct FixtureCase {
   const char* rule;
 };
 
+// gtest prints the parameter into each test's listed name. Its default
+// byte dump would embed the string literals' addresses, which change
+// with every build and run, so print the fixture file instead.
+void PrintTo(const FixtureCase& fc, std::ostream* os) { *os << fc.file; }
+
 class LintFixture : public ::testing::TestWithParam<FixtureCase> {};
 
 // Every fixture seeds exactly one violation of its rule plus an
